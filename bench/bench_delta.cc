@@ -1,12 +1,10 @@
-// E21 — incremental maintenance (paper Section 5, docs/INCREMENTAL.md):
-// applying a base-fact delta through FunctionalDatabase::ApplyDeltas against
-// rebuilding the whole database from the edited program.
+// E21 — base-fact updates (paper Section 5, docs/INCREMENTAL.md): applying
+// a delta through FunctionalDatabase::ApplyDeltas against rebuilding the
+// whole database from the edited program with FromProgram.
 //
-// Expected shape: a shallow repair (the retraction cascade stays inside the
-// trunk) skips the fixpoint re-derivation almost entirely and beats the
-// full recompute by a wide margin; a deep repair (the cascade reaches a
-// boundary seed, forcing a chi-table reset) converges toward recompute
-// cost, since re-derivation dominates both. Noop batches are near-free.
+// Expected shape: an effective toggle costs one FromProgram build of the
+// edited program plus the delta parse and the commit, so it tracks the full
+// recompute closely. Noop batches are near-free.
 
 #include <benchmark/benchmark.h>
 
@@ -21,11 +19,9 @@ namespace {
 using namespace relspec;
 using namespace relspec_bench;
 
-// WidePredicateProgram(n) plus an inert two-fact predicate: deleting
-// Q(1, c0) retracts one trunk bit and cascades nowhere (Q has no rules),
-// while the surviving deeper Q(2, c0) keeps the grounded universe
-// unchanged — same atoms, same active domain, same MaxGroundDepth — so the
-// edit stays on the in-place repair path.
+// WidePredicateProgram(n) plus an inert two-fact predicate: Q(1, c0) is
+// the fact the benchmarks toggle, and the deeper Q(2, c0) keeps the trunk
+// depth the same whether or not Q(1, c0) is present.
 std::string WideWithInert(int n) {
   return WidePredicateProgram(n) + "Q(1, c0).\nQ(2, c0).\n";
 }
@@ -41,8 +37,8 @@ std::unique_ptr<FunctionalDatabase> Build(benchmark::State& state,
 }
 
 // Toggle an inert fact: delete while present, re-insert after. Every
-// iteration is one effective single-fact batch through the repair path.
-void BM_Delta_ShallowRepair(benchmark::State& state) {
+// iteration is one effective single-fact batch.
+void BM_Delta_Toggle(benchmark::State& state) {
   ScopedBenchMetrics bench_metrics(__func__);
   auto db = Build(state, WideWithInert(static_cast<int>(state.range(0))));
   if (!db) return;
@@ -54,49 +50,15 @@ void BM_Delta_ShallowRepair(benchmark::State& state) {
       state.SkipWithError(stats.status().ToString().c_str());
       return;
     }
-    if (stats->rebuilt) {
-      state.SkipWithError("expected the repair path, got a rebuild");
-      return;
-    }
     present = !present;
     benchmark::DoNotOptimize(stats);
   }
   state.counters["n"] = static_cast<double>(state.range(0));
 }
-BENCHMARK(BM_Delta_ShallowRepair)->DenseRange(2, 14, 4);
-
-// Toggle a load-bearing fact: P(0, k0) seeds the infinite +1 chain, so the
-// DRed cascade runs the whole trunk, hits the boundary, and resets the chi
-// table — the worst-case repair.
-void BM_Delta_DeepRepair(benchmark::State& state) {
-  ScopedBenchMetrics bench_metrics(__func__);
-  auto db = Build(state, WideWithInert(static_cast<int>(state.range(0))));
-  if (!db) return;
-  bool present = true;
-  double rebuilt = 0.0, chi_reset = 0.0;
-  for (auto _ : state) {
-    auto stats =
-        db->ApplyDeltaText(present ? "- P(0, k0).\n" : "+ P(0, k0).\n");
-    if (!stats.ok()) {
-      state.SkipWithError(stats.status().ToString().c_str());
-      return;
-    }
-    present = !present;
-    // Whether this toggle repairs (with a chi reset) or falls back to a
-    // rebuild depends on how EDB pruning reacts to losing k0's seed;
-    // report which path ran instead of asserting one.
-    rebuilt = stats->rebuilt ? 1.0 : 0.0;
-    chi_reset = stats->chi_reset ? 1.0 : 0.0;
-    benchmark::DoNotOptimize(stats);
-  }
-  state.counters["n"] = static_cast<double>(state.range(0));
-  state.counters["rebuilt"] = rebuilt;
-  state.counters["chi_reset"] = chi_reset;
-}
-BENCHMARK(BM_Delta_DeepRepair)->DenseRange(2, 14, 4);
+BENCHMARK(BM_Delta_Toggle)->DenseRange(2, 14, 4);
 
 // The from-scratch baseline for the same toggle: rebuild via FromProgram on
-// the edited program (no parse cost, same as the repair path's input).
+// the edited program (no delta parse, no commit).
 void BM_Delta_FullRecompute(benchmark::State& state) {
   ScopedBenchMetrics bench_metrics(__func__);
   auto db = Build(state, WideWithInert(static_cast<int>(state.range(0))));

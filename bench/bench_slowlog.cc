@@ -1,4 +1,4 @@
-// E28 — cost of the slow-query audit ring (src/serve/slowlog.{h,cc}), the
+// E23 — cost of the slow-query audit ring (src/serve/slowlog.{h,cc}), the
 // ablation behind the "always compiled, near-zero when off" claim for
 // request-scoped serving telemetry (docs/OPERATIONS.md):
 //

@@ -64,15 +64,9 @@ struct DeltaStats {
   size_t inserted = 0;
   size_t deleted = 0;
   size_t noops = 0;
-  /// True if the edit changed the grounded universe (new atoms, constants,
-  /// rule instances, or trunk depth) and the engine fell back to a full
-  /// rebuild instead of an in-place repair.
+  /// True for every effective batch: the next state is always rebuilt from
+  /// the edited program. False only for an all-noop batch.
   bool rebuilt = false;
-  /// Repair-path details (zero/false on the rebuild path); see
-  /// DeltaRepairStats in src/core/fixpoint.h.
-  bool chi_reset = false;
-  size_t deleted_bits = 0;
-  size_t rederive_rounds = 0;
 };
 
 /// Durability knobs for OpenDurable (docs/DURABILITY.md).
@@ -158,20 +152,19 @@ class FunctionalDatabase {
   /// Builds the (B, R) equational specification (Section 3.5).
   StatusOr<EquationalSpecification> BuildEquationalSpec();
 
-  /// Applies a batch of base-fact deltas in order, maintaining the least
-  /// fixpoint incrementally (paper Section 5; docs/INCREMENTAL.md).
-  /// Equivalent to rebuilding from the edited program — after the call,
-  /// `FromProgram(original_program())` yields a byte-identical database —
-  /// but repairs the existing labeling/chi-table/spec in place whenever the
-  /// grounded universe is unchanged (semi-naive re-derivation for inserts,
-  /// DRed for deletes), falling back to a full rebuild otherwise.
+  /// Applies a batch of base-fact deltas in order (paper Section 5;
+  /// docs/INCREMENTAL.md): edits a copy of the original program, builds the
+  /// next state from it through the same pipeline as FromProgram, and
+  /// commits it by move. After the call, `FromProgram(original_program())`
+  /// yields a byte-identical database.
   ///
   /// An all-noop batch leaves the database (and its Fingerprint) untouched;
   /// any effective batch invalidates the fingerprint, so stale QueryCache
-  /// entries miss. Validation errors leave the database unchanged (strong
-  /// guarantee). A resource breach mid-repair without allow_partial leaves
-  /// it in an unspecified state — discard it; with allow_partial it degrades
-  /// to a truncated-but-sound database like the build pipeline does.
+  /// entries miss. Every error — validation, an injected fault or a resource
+  /// breach in any build phase — leaves the database unchanged (strong
+  /// guarantee): the next state is built apart from the live one and only
+  /// committed once complete. With allow_partial a breach instead commits a
+  /// truncated-but-sound database, as the build pipeline does.
   ///
   /// Delta atoms must be ground and use this database's original symbols
   /// (predicates, constants, functions); facts mentioning symbols unknown to
@@ -254,9 +247,8 @@ class FunctionalDatabase {
 
   /// Shared tail of ApplyDeltas/ApplyDeltaText: `next` is the edited
   /// original-form program with `stats` counting the edits already applied
-  /// to it. Validates, re-grounds, and either repairs in place (same
-  /// universe) or rebuilds, then commits every member and resets the
-  /// fingerprint.
+  /// to it. Builds the next state with FromProgram, then commits every
+  /// member by move and resets the fingerprint.
   StatusOr<DeltaStats> ApplyEditedProgram(Program next, DeltaStats stats,
                                           const EngineOptions& options);
 

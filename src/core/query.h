@@ -45,6 +45,13 @@ struct ConcreteAnswer {
     return term_eq && tuple == o.tuple;
   }
   bool operator<(const ConcreteAnswer& o) const;
+  /// Member-wise swap, found by ADL from std::sort. It also avoids the
+  /// temporary of the generic std::swap, on which GCC 12 at -O3 reports a
+  /// false -Wmaybe-uninitialized inside std::optional<Path>.
+  friend void swap(ConcreteAnswer& a, ConcreteAnswer& b) noexcept {
+    a.term.swap(b.term);
+    a.tuple.swap(b.tuple);
+  }
 };
 
 /// A finitely represented query answer. For answers with a functional

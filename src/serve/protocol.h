@@ -120,15 +120,17 @@ std::string EncodeQueryResult(const QueryResult& result);
 StatusOr<QueryResult> DecodeQueryResult(std::string_view payload);
 
 /// kUpdate response payload: u64 fingerprint | u64 inserted | u64 deleted |
-/// u64 noops | u64 deleted_bits | u8 rebuilt | u8 durable. `durable` means
-/// the batch went through LogAndApplyDeltas: the ack implies the update
-/// survives a crash under the server's fsync policy.
+/// u64 noops | u64 deleted_bits | u8 rebuilt | u8 durable. `deleted_bits`
+/// is always 0: updates rebuild rather than retract bits, and the field is
+/// kept so the wire format does not change. `durable` means the batch went
+/// through LogAndApplyDeltas: the ack implies the update survives a crash
+/// under the server's fsync policy.
 struct UpdateResult {
   uint64_t fingerprint = 0;
   uint64_t inserted = 0;
   uint64_t deleted = 0;
   uint64_t noops = 0;
-  uint64_t deleted_bits = 0;
+  uint64_t deleted_bits = 0;  // always 0; kept for the wire format
   bool rebuilt = false;
   bool durable = false;
 };

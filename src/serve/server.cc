@@ -430,9 +430,10 @@ std::string Server::HandleRequest(const RequestHeader& req,
         return "";
       }
       std::unique_lock<std::shared_mutex> lock(state_mu_);
-      // Updates run ungoverned: a breach mid-repair would leave the engine
-      // in an unspecified state (docs/INCREMENTAL.md). Through the WAL when
-      // durable, so an OK ack means applied *and* logged.
+      // Updates run ungoverned. A failed batch leaves the engine and spec_
+      // unchanged: the next state is built apart and committed only when
+      // complete (docs/INCREMENTAL.md). Through the WAL when durable, so an
+      // OK ack means applied *and* logged.
       const auto eval_start = std::chrono::steady_clock::now();
       StatusOr<DeltaStats> stats =
           db_->durable() ? db_->LogAndApplyDeltas(payload)
@@ -441,7 +442,7 @@ std::string Server::HandleRequest(const RequestHeader& req,
         *out = stats.status();
         return "";
       }
-      if (stats->inserted > 0 || stats->deleted > 0 || stats->rebuilt) {
+      if (stats->rebuilt) {
         auto spec = db_->BuildGraphSpec();
         if (!spec.ok()) {
           *out = Status::Internal(
@@ -458,7 +459,6 @@ std::string Server::HandleRequest(const RequestHeader& req,
       result.inserted = stats->inserted;
       result.deleted = stats->deleted;
       result.noops = stats->noops;
-      result.deleted_bits = stats->deleted_bits;
       result.rebuilt = stats->rebuilt;
       result.durable = db_->durable();
       return EncodeUpdateResult(result);

@@ -48,9 +48,14 @@ std::string RenderDatabase(const datalog::Database& db) {
   for (PredId p : preds) {
     std::vector<datalog::Tuple> rows = db.relation(p).CopyRows();
     std::sort(rows.begin(), rows.end());
-    out += "pred " + std::to_string(p) + "\n";
+    out += "pred ";
+    out += std::to_string(p);
+    out += "\n";
     for (const auto& row : rows) {
-      for (datalog::Value v : row) out += " " + std::to_string(v);
+      for (datalog::Value v : row) {
+        out += ' ';
+        out += std::to_string(v);
+      }
       out += "\n";
     }
   }
@@ -184,7 +189,7 @@ TEST_P(DifferentialTest, CachedAnswersMatchUncached) {
 // applying a mixed insert/delete sequence batch by batch must be
 // indistinguishable from rebuilding from the edited program — identical
 // spec text, identical snapshot bytes, identical equational spec, identical
-// fingerprint — at every thread count, and the repaired spec must still
+// fingerprint — at every thread count, and the updated spec must still
 // round-trip through the binary snapshot byte-identically.
 TEST_P(DifferentialTest, IncrementalDeltasMatchRebuild) {
   std::mt19937 rng(static_cast<unsigned>(GetParam()) * 25173u + 13u);
@@ -193,9 +198,9 @@ TEST_P(DifferentialTest, IncrementalDeltasMatchRebuild) {
 
   // Candidate edits over the generator's guaranteed signature (P0 and R
   // always exist; P1/Seen only sometimes, so they stay out of the pool).
-  // Only `f` and the existing constants, so most edits keep the grounded
-  // universe and take the in-place repair path; deletes of never-present
-  // facts are noops, which must also preserve equivalence.
+  // Only `f` and the existing constants, so no edit interns a new symbol;
+  // deletes of never-present facts are noops, which must also preserve
+  // equivalence.
   std::vector<std::string> pool;
   for (const char* t : {"0", "f(0)", "f(f(0))"}) {
     pool.push_back(std::string("P0(") + t + ", a)");
@@ -211,7 +216,7 @@ TEST_P(DifferentialTest, IncrementalDeltasMatchRebuild) {
     int edits = 1 + static_cast<int>(pick(3));
     for (int e = 0; e < edits; ++e) {
       // Insert-biased early, delete-biased late, so later batches retract
-      // facts earlier ones derived from (the interesting DRed case).
+      // facts earlier ones derived from.
       bool insert = pick(4) >= static_cast<size_t>(b);
       text += std::string(insert ? "+ " : "- ") + pool[pick(pool.size())] +
               ".\n";

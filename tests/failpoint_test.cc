@@ -7,6 +7,7 @@
 
 #include <string>
 
+#include "src/ast/printer.h"
 #include "src/base/failpoint.h"
 #include "src/core/engine.h"
 #include "src/core/query.h"
@@ -120,6 +121,71 @@ void ExpectEngineUnwindAndCleanRetry(const char* site,
       << "retry after Clear() diverged for site " << site;
 }
 
+// The subset family: 2^(n-1) reachable labels below the seed B(0, b0).
+// Toggling the seed changes every label below the root while keeping the
+// grounded universe, so a half-applied update shows in the memberships.
+constexpr char kSubsetRules[] = R"(
+  B(t, x) -> B(set0(t), x).  B(t, x) -> B(set0(t), b0).
+  B(t, x) -> B(set1(t), x).  B(t, x) -> B(set1(t), b1).
+  B(t, x) -> B(set2(t), x).  B(t, x) -> B(set2(t), b2).
+)";
+
+std::string SpecText(FunctionalDatabase* db) {
+  auto spec = db->BuildGraphSpec();
+  if (!spec.ok()) return "error: " + spec.status().ToString();
+  return SpecIo::Serialize(*spec);
+}
+
+// Membership answers straight from the labeling, at the trunk and below it:
+// a half-updated labeling shows here even when the spec does not.
+std::string Memberships(FunctionalDatabase* db) {
+  std::string out;
+  for (const char* fact : {"B(0, b0)", "B(set0(0), b0)", "B(set1(0), b1)",
+                           "B(set2(set1(0)), b1)", "B(set2(set1(0)), b0)"}) {
+    auto holds = db->HoldsFactText(fact);
+    out += fact;
+    out += holds.ok() ? (*holds ? "=1 " : "=0 ") : "=error ";
+  }
+  return out;
+}
+
+// Applies `batch` to an engine built from `source` with `site` armed. The
+// batch must return the injected error and leave the engine exactly as it
+// was (strong guarantee): same fingerprint, same original program, same
+// spec, same memberships. After Clear() the same batch must apply, and the
+// result must match a from-scratch FromProgram build of the edited program
+// byte for byte.
+void ExpectDeltaUnwindAndCleanRetry(const char* site, const std::string& source,
+                                    const char* batch) {
+  SCOPED_TRACE(std::string("site ") + site + ", batch " + batch);
+  auto db = FunctionalDatabase::FromSource(source);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  const uint64_t fingerprint = (*db)->Fingerprint();
+  const std::string program = ToString((*db)->original_program());
+  const std::string spec = SpecText(db->get());
+  const std::string memberships = Memberships(db->get());
+
+  ASSERT_TRUE(failpoint::Configure(std::string(site) + "=error").ok());
+  auto broken = (*db)->ApplyDeltaText(batch);
+  ASSERT_FALSE(broken.ok()) << "site did not fire";
+  EXPECT_TRUE(broken.status().IsInternal()) << broken.status().ToString();
+  EXPECT_GE(failpoint::HitCount(site), 1u) << "site not reached";
+  failpoint::Clear();
+  EXPECT_EQ((*db)->Fingerprint(), fingerprint);
+  EXPECT_EQ(ToString((*db)->original_program()), program);
+  EXPECT_EQ(SpecText(db->get()), spec);
+  EXPECT_EQ(Memberships(db->get()), memberships);
+
+  auto applied = (*db)->ApplyDeltaText(batch);
+  ASSERT_TRUE(applied.ok()) << applied.status().ToString();
+  EXPECT_TRUE(applied->rebuilt);
+  auto rebuilt = FunctionalDatabase::FromProgram((*db)->original_program());
+  ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().ToString();
+  EXPECT_EQ((*db)->Fingerprint(), (*rebuilt)->Fingerprint());
+  EXPECT_EQ(SpecText(db->get()), SpecText(rebuilt->get()));
+  EXPECT_EQ(Memberships(db->get()), Memberships(rebuilt->get()));
+}
+
 TEST_F(FailpointTest, EnginePhasesUnwindCleanly) {
   auto clean = FunctionalDatabase::FromSource(kMeets);
   ASSERT_TRUE(clean.ok()) << clean.status().ToString();
@@ -131,6 +197,12 @@ TEST_F(FailpointTest, EnginePhasesUnwindCleanly) {
   ExpectEngineUnwindAndCleanRetry("fixpoint.round", baseline);
   ExpectEngineUnwindAndCleanRetry("chi.pass", baseline);
   ExpectEngineUnwindAndCleanRetry("algorithm_q.visit", baseline);
+
+  const std::string subset = std::string("B(0, b0).\n") + kSubsetRules;
+  for (const char* site : {"ground.build", "fixpoint.round", "chi.pass"}) {
+    ExpectDeltaUnwindAndCleanRetry(site, subset, "- B(0, b0).\n");
+    ExpectDeltaUnwindAndCleanRetry(site, kSubsetRules, "+ B(0, b0).\n");
+  }
 }
 
 TEST_F(FailpointTest, DatalogIterationUnwinds) {

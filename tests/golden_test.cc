@@ -36,6 +36,11 @@ const GoldenCase kCases[] = {
     {"lists", "lists.rsp"},
 };
 
+// Without this, gtest prints the parameter as the raw bytes of its two
+// pointers, and those bytes end up in the listed (and ctest-registered) test
+// names, which then change with every build and every address-space layout.
+void PrintTo(const GoldenCase& c, std::ostream* os) { *os << c.program; }
+
 std::string ReadFileOrDie(const std::string& path) {
   std::ifstream in(path);
   EXPECT_TRUE(in.good()) << "cannot open " << path;

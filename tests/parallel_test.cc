@@ -391,7 +391,8 @@ TEST_F(CacheStressTest, SharedCacheHoldsBudgetsAndCountersUnderContention) {
     workers.emplace_back([&, t] {
       std::mt19937 rng(static_cast<unsigned>(t) * 7919u + 3u);
       for (int i = 0; i < kRounds; ++i) {
-        std::string key = "q" + std::to_string(rng() % kKeys);
+        std::string key = "q";
+        key += std::to_string(rng() % kKeys);
         auto hit = cache.Lookup(1, key);
         lookups.fetch_add(1, std::memory_order_relaxed);
         if (hit != nullptr) {

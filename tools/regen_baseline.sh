@@ -10,13 +10,13 @@
 #   bench_trace  representative E19 tracer-ablation numbers from
 #                bench/bench_trace.cc
 #   bench_delta  representative E21 incremental-maintenance numbers
-#                (shallow repair vs full recompute, noop batch) from
+#                (fact toggle vs full recompute, noop batch) from
 #                bench/bench_delta.cc
-#   bench_wal    representative E26 durability numbers from
+#   bench_wal    representative E22 durability numbers from
 #                bench/bench_wal.cc — only the fsync-free paths (append,
 #                scan, durable update with fsync=off, recovery): device
 #                sync latency on shared runners is too noisy to gate
-#   bench_slowlog  E28 slow-query audit log ablation (recording disabled /
+#   bench_slowlog  E23 slow-query audit log ablation (recording disabled /
 #                sampled / always-on / full-ring JSONL dump) from
 #                bench/bench_slowlog.cc
 #   bench_serve  a fixed-seed serving session from relspec_bench_serve
@@ -60,7 +60,7 @@ echo "== bench_trace =="
 
 echo "== bench_delta =="
 "$BUILD_DIR"/bench/bench_delta \
-    --benchmark_filter='BM_Delta_(ShallowRepair|FullRecompute)/14$|BM_Delta_NoopBatch$' \
+    --benchmark_filter='BM_Delta_(Toggle|FullRecompute)/14$|BM_Delta_NoopBatch$' \
     --benchmark_min_time=0.05 --benchmark_format=json \
     > "$TMP/delta.json"
 

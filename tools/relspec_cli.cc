@@ -525,17 +525,9 @@ int RunCli(int argc, char** argv) {
     if (!stats.ok()) {
       return Fail(EngineExitCode(stats.status()), stats.status());
     }
-    printf(
-        "deltas applied: +%zu -%zu (%zu noops), %s%s\n", stats->inserted,
-        stats->deleted, stats->noops,
-        stats->rebuilt
-            ? "universe changed -> full rebuild"
-            : StrFormat("incremental repair (%zu bits retracted, %zu "
-                        "re-derivation rounds%s)",
-                        stats->deleted_bits, stats->rederive_rounds,
-                        stats->chi_reset ? ", chi table reset" : "")
-                  .c_str(),
-        (*db)->truncated() ? " [truncated]" : "");
+    printf("deltas applied: +%zu -%zu (%zu noops)%s\n", stats->inserted,
+           stats->deleted, stats->noops,
+           (*db)->truncated() ? " [truncated]" : "");
     if ((*db)->truncated()) {
       RELSPEC_LOG(kWarning) << "partial result (sound under-approximation): "
                             << (*db)->breach().ToString();
